@@ -2,12 +2,12 @@
 
 GO ?= go
 
-# The smoke targets pipe loadgen through benchjson; without pipefail a
-# failed -check exit would be masked by the pipe's last command.
+# The bench targets pipe `go test` through benchjson; without pipefail a
+# failed run would be masked by the pipe's last command.
 SHELL := /usr/bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: all build vet lint check test test-race race churn-race bench bench-check bench-profile replicate examples chaos-smoke serve-smoke cluster-smoke chaos-cluster hotpath-smoke obs-smoke meter-smoke qos-smoke clean
+.PHONY: all build vet lint check test test-race race churn-race bench bench-check bench-profile perf replicate examples chaos-smoke serve-smoke cluster-smoke chaos-cluster hotpath-smoke obs-smoke meter-smoke qos-smoke clean
 
 all: build vet test
 
@@ -53,38 +53,30 @@ churn-race:
 # Daemon smoke test under the race detector: selfhost the daemon, drive
 # 8 concurrent tenants for 200 iterations each, restart the daemon
 # mid-run from a snapshot, and assert every tenant lands within 105% of
-# its grant. Latency quantiles are folded into BENCH_experiments.json.
+# its grant.
 serve-smoke:
-	$(GO) run -race ./cmd/loadgen -tenants 8 -iters 200 -restart-at 800 -check 1.05 \
-		| $(GO) run ./cmd/benchjson -merge BENCH_experiments.json > BENCH_experiments.json.tmp
-	@mv BENCH_experiments.json.tmp BENCH_experiments.json
-	@echo "serve-smoke passed; latency snapshot in BENCH_experiments.json"
+	$(GO) run -race ./cmd/loadgen -tenants 8 -iters 200 -restart-at 800 -check 1.05
+	@echo "serve-smoke passed"
 
 # Fleet smoke test under the race detector: run an in-process coordinator
 # plus 3 member daemons, drive 12 tenants through coordinator placement,
 # kill the busiest node once 360 iterations completed fleet-wide, and
 # assert every tenant still lands within 105% of its grant after
-# failover. Decision-latency and failover-time quantiles are merged into
-# BENCH_experiments.json alongside the single-daemon numbers.
+# failover.
 cluster-smoke:
 	$(GO) run -race ./cmd/loadgen -cluster -nodes 3 -tenants 12 -iters 60 \
-		-apps radar -platform Tablet -kill-at 360 -check 1.05 \
-		| $(GO) run ./cmd/benchjson -merge BENCH_experiments.json > BENCH_experiments.json.tmp
-	@mv BENCH_experiments.json.tmp BENCH_experiments.json
-	@echo "cluster-smoke passed; failover quantiles merged into BENCH_experiments.json"
+		-apps radar -platform Tablet -kill-at 360 -check 1.05
+	@echo "cluster-smoke passed"
 
 # Control-plane chaos under the race detector: the same fleet, but the
 # coordinator itself is killed after 240 iterations and a WAL-tailing
 # standby promotes (bumping the fencing epoch); a node kill at 480 then
 # forces clients through coordinator rotation on the new primary. Every
-# tenant must still land within 105% of its grant, and the failover
-# quantiles are merged into BENCH_experiments.json.
+# tenant must still land within 105% of its grant.
 chaos-cluster:
 	$(GO) run -race ./cmd/loadgen -cluster -nodes 3 -tenants 12 -iters 60 \
-		-apps radar -platform Tablet -kill-coordinator-at 240 -kill-at 480 -check 1.05 \
-		| $(GO) run ./cmd/benchjson -merge BENCH_experiments.json > BENCH_experiments.json.tmp
-	@mv BENCH_experiments.json.tmp BENCH_experiments.json
-	@echo "chaos-cluster passed; coordinator-failover quantiles merged into BENCH_experiments.json"
+		-apps radar -platform Tablet -kill-coordinator-at 240 -kill-at 480 -check 1.05
+	@echo "chaos-cluster passed"
 
 # Observability smoke under the race detector: a traced 3-node fleet
 # (v2 frames, every 8th round sampled) with a provenance auditor
@@ -97,7 +89,7 @@ chaos-cluster:
 obs-smoke:
 	$(GO) run -race ./cmd/loadgen -cluster -nodes 3 -tenants 8 -iters 60 \
 		-apps radar -platform Tablet -v2 -trace-every 8 -obs-check \
-		-kill-coordinator-at 240 -check 1.05 > /dev/null
+		-kill-coordinator-at 240 -check 1.05
 	@echo "obs-smoke passed: cross-node trace join + provenance conservation through coordinator failover"
 
 # Measurement smoke under the race detector: selfhost the daemon with
@@ -105,13 +97,10 @@ obs-smoke:
 # readings become physical stimulus) and seeded counter faults injected
 # into it. Asserts every tenant lands within 105% of its grant on
 # meter-attributed joules alone, and that the plausibility gate rejected
-# the injected faults without billing a corrupted sample. Calibration
-# and gate tallies are merged into BENCH_experiments.json.
+# the injected faults without billing a corrupted sample.
 meter-smoke:
-	$(GO) run -race ./cmd/loadgen -tenants 8 -iters 200 -meter sim -meter-faults -check 1.05 \
-		| $(GO) run ./cmd/benchjson -merge BENCH_experiments.json > BENCH_experiments.json.tmp
-	@mv BENCH_experiments.json.tmp BENCH_experiments.json
-	@echo "meter-smoke passed; calibration + gate tallies merged into BENCH_experiments.json"
+	$(GO) run -race ./cmd/loadgen -tenants 8 -iters 200 -meter sim -meter-faults -check 1.05
+	@echo "meter-smoke passed"
 
 # Tenant-protection smoke under the race detector: selfhost the daemon
 # with the QoS ladder enabled and one adversarial tenant claiming ten
@@ -119,36 +108,25 @@ meter-smoke:
 # the adversary drew enforcement denials (including at least one shed —
 # best-effort is sacrificed first, the guaranteed honest tenants never)
 # while every honest tenant landed within 105% of its grant with its
-# accuracy floor untouched. Enforcement tallies merge into
-# BENCH_experiments.json.
+# accuracy floor untouched.
 qos-smoke:
 	$(GO) run -race ./cmd/loadgen -tenants 6 -adversaries 1 -tier guaranteed -iters 300 \
-		-qos-shed-at 0.5 -check 1.05 -expect-shed \
-		| $(GO) run ./cmd/benchjson -merge BENCH_experiments.json > BENCH_experiments.json.tmp
-	@mv BENCH_experiments.json.tmp BENCH_experiments.json
-	@echo "qos-smoke passed; enforcement tallies merged into BENCH_experiments.json"
+		-qos-shed-at 0.5 -check 1.05 -expect-shed
+	@echo "qos-smoke passed"
 
-# Hot-path smoke: the v2 binary frame stream end to end. A closed-loop
-# pass pins correctness-under-batching (every tenant within 105% of its
-# grant over DoneNext frames), then an open-loop pass measures sustained
-# decisions/s and the in-process pass isolates the governor itself; all
-# three land in BENCH_experiments.json.
+# Hot-path smoke under the race detector: the v2 binary frame stream end
+# to end, every tenant within 105% of its grant over batched DoneNext
+# frames. Its speed is `make perf`'s job.
 hotpath-smoke:
-	$(GO) run -race ./cmd/loadgen -tenants 8 -iters 200 -v2 -check 1.05 \
-		| $(GO) run ./cmd/benchjson -merge BENCH_experiments.json > BENCH_experiments.json.tmp
-	@mv BENCH_experiments.json.tmp BENCH_experiments.json
-	$(GO) run ./cmd/loadgen -tenants 8 -v2 -open-loop 3s \
-		| $(GO) run ./cmd/benchjson -merge BENCH_experiments.json > BENCH_experiments.json.tmp
-	@mv BENCH_experiments.json.tmp BENCH_experiments.json
-	$(GO) run ./cmd/loadgen -inproc -tenants 8 -open-loop 3s \
-		| $(GO) run ./cmd/benchjson -merge BENCH_experiments.json > BENCH_experiments.json.tmp
-	@mv BENCH_experiments.json.tmp BENCH_experiments.json
-	@echo "hotpath-smoke passed; v2 wire + in-process numbers merged into BENCH_experiments.json"
+	$(GO) run -race ./cmd/loadgen -tenants 8 -iters 200 -v2 -check 1.05
+	@echo "hotpath-smoke passed"
 
 # One scaled-down benchmark pass over every table/figure + ablations,
-# leaving a machine-readable timing snapshot in BENCH_experiments.json.
+# merged into the machine-readable timing snapshot BENCH_experiments.json
+# (rows a partial -bench run did not re-measure are kept).
 bench:
-	$(GO) test -run xxx -bench . -benchmem ./... | $(GO) run ./cmd/benchjson > BENCH_experiments.json
+	$(GO) test -run xxx -bench . -benchmem ./... | $(GO) run ./cmd/benchjson -merge BENCH_experiments.json > BENCH_experiments.json.tmp
+	@mv BENCH_experiments.json.tmp BENCH_experiments.json
 
 # Perf regression gate: re-measure the pinned hot-path benchmarks and
 # fail if any got >20% slower than the committed snapshot — or allocates
@@ -161,16 +139,28 @@ bench-check:
 			-pin 'Frame|InprocDecision|SessionLookup'
 
 # CPU + allocation profiles of the decision path into results/profiles/,
-# ready for `go tool pprof`.
+# ready for `go tool pprof`. The wire path is profiled live through the
+# daemon's /debug/pprof/, and split into its layers by
+# `bash perfbench/run.sh --workload serve-v2 --trace 1`.
 bench-profile:
 	@mkdir -p results/profiles
 	$(GO) test -run xxx -bench BenchmarkInprocDecision -benchtime 200000x \
 		-cpuprofile results/profiles/decision_cpu.prof \
 		-memprofile results/profiles/decision_mem.prof ./internal/server/
-	$(GO) run ./cmd/loadgen -tenants 8 -v2 -open-loop 3s \
-		-cpuprofile results/profiles/wire_cpu.prof \
-		-memprofile results/profiles/wire_mem.prof > /dev/null
-	@echo "profiles in results/profiles/ (decision_*.prof, wire_*.prof)"
+	@echo "profiles in results/profiles/ (decision_*.prof)"
+
+# The benchmark's workloads and run length, read from BENCHMARK.json so
+# the list is kept in one place.
+PERF_WORKLOADS = $(shell awk '/"workloads"/ {w = 1} w && /^[ \t]*\]/ {w = 0} w && /"name"/ {split($$0, f, "\""); print f[4]}' BENCHMARK.json)
+PERF_SECONDS = $(shell awk -F '[:,]' '/"run_seconds"/ {print $$2 + 0}' BENCHMARK.json)
+
+# Non-race performance run: each BENCHMARK.json workload once, seed 1,
+# untraced. Every run prints its one-line JSON result (metrics, checks
+# and environment; see perfbench/README.md) and fails if its checks do.
+perf:
+	@for w in $(PERF_WORKLOADS); do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds $(PERF_SECONDS) --trace 0; \
+	done
 
 # Full-size regeneration of the paper's evaluation into results/.
 replicate:

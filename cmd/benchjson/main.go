@@ -5,9 +5,8 @@
 //
 // With -merge FILE, results from an existing snapshot are carried over:
 // entries parsed from stdin replace same-name entries in FILE, everything
-// else is kept. This lets separate smoke runs (e.g. the single-daemon and
-// the cluster loadgen passes) fold into one artefact without clobbering
-// each other.
+// else is kept, so a run of a subset of the benchmarks cannot drop the
+// rows it did not re-measure.
 //
 // With -compare FILE, the fresh results are checked against a previous
 // snapshot instead of merged: a pinned benchmark that got more than
@@ -24,6 +23,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"strconv"
@@ -54,7 +54,7 @@ func main() {
 	threshold := flag.Float64("threshold", 0.20, "with -compare: fractional slowdown tolerated before failing")
 	flag.Parse()
 
-	results, err := parse(os.Stdin)
+	results, err := parse(os.Stdin, os.Stderr)
 	if err != nil {
 		fatal(err)
 	}
@@ -84,17 +84,22 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// parse reads `go test -bench` text, mirroring every line to stderr so
-// the human-readable stream is not swallowed when benchjson sits at the
-// end of a pipeline.
-func parse(in *os.File) ([]Result, error) {
+// procsSuffix is the "-N" GOMAXPROCS suffix `go test` appends to every
+// benchmark name when N > 1.
+var procsSuffix = regexp.MustCompile(`-[0-9]+$`)
+
+// parse reads `go test -bench` text, mirroring every line to echo so the
+// human-readable stream is not swallowed when benchjson sits at the end
+// of a pipeline. Names are recorded without their GOMAXPROCS suffix, so
+// snapshots taken on machines with different CPU counts compare by name.
+func parse(in io.Reader, echo io.Writer) ([]Result, error) {
 	var results []Result
 	pkg := ""
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
 		line := sc.Text()
-		fmt.Fprintln(os.Stderr, line)
+		fmt.Fprintln(echo, line)
 		if strings.HasPrefix(line, "pkg: ") {
 			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg: "))
 			continue
@@ -110,7 +115,7 @@ func parse(in *os.File) ([]Result, error) {
 		if err != nil {
 			continue
 		}
-		r := Result{Name: fields[0], Package: pkg, Iterations: iters}
+		r := Result{Name: procsSuffix.ReplaceAllString(fields[0], ""), Package: pkg, Iterations: iters}
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
@@ -126,8 +131,8 @@ func parse(in *os.File) ([]Result, error) {
 				a := int64(v)
 				r.AllocsPerOp = &a
 			default:
-				// Custom testing.B.ReportMetric-style units — the load
-				// generator's "decisions/s" throughput among them.
+				// Custom testing.B.ReportMetric-style units, such as
+				// "decisions/s".
 				if r.Metrics == nil {
 					r.Metrics = map[string]float64{}
 				}
@@ -141,8 +146,8 @@ func parse(in *os.File) ([]Result, error) {
 
 // mergeSnapshot keeps every entry of the snapshot at path whose name was
 // not re-measured on stdin, preserving file order, with fresh results
-// appended. A missing file is not an error: the first smoke run of a
-// clean checkout has nothing to merge with.
+// appended. A missing file is not an error: the first run of a clean
+// checkout has nothing to merge with.
 func mergeSnapshot(path string, fresh []Result) ([]Result, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -176,7 +181,7 @@ func mergeSnapshot(path string, fresh []Result) ([]Result, error) {
 //     zero-allocation guarantee no timing threshold would catch.
 //
 // Benchmarks present on only one side are reported but never fail the
-// gate: machines differ in which smokes they run.
+// gate: a snapshot may hold rows the fresh run did not re-measure.
 func compareSnapshots(path string, fresh []Result, pin string, threshold float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -199,12 +204,12 @@ func compareSnapshots(path string, fresh []Result, pin string, threshold float64
 	var regressions []string
 	compared := 0
 	for _, cur := range fresh {
+		if pinRe != nil && !pinRe.MatchString(cur.Name) {
+			continue
+		}
 		prev, ok := byName[cur.Name]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "benchjson: %s: new benchmark, nothing to compare\n", cur.Name)
-			continue
-		}
-		if pinRe != nil && !pinRe.MatchString(cur.Name) {
 			continue
 		}
 		compared++

@@ -1,7 +1,10 @@
 // Command loadgen drives a jouleguardd daemon with N simulated tenants
-// and reports service-layer overheads: decision latency (p50/p99 of the
-// Next and Done round trips), throughput, and the aggregate
-// budget-guarantee error across concurrently governed sessions.
+// and checks the service's guarantees under concurrent load: every
+// tenant lands within -check of its grant, the daemon's (or the fleet's)
+// ledger stays conserved, and every failure it was asked to inject was
+// ridden through. It takes no timings — perfbench owns those (see
+// perfbench/README.md) — and writes nothing to stdout: a correctness
+// summary goes to stderr, and a failed check exits non-zero.
 //
 // Three modes:
 //
@@ -19,40 +22,30 @@
 //     killed (listener closed, heartbeats stopped) once N iterations
 //     have completed fleet-wide: its lease expires, the coordinator
 //     escrows the unspent budget and fails its sessions over, and the
-//     clients ride through on their failover path. The run then reports
-//     failover latency quantiles alongside the usual decision latency.
+//     clients ride through on their failover path.
 //
 // Cross-cutting switches: -v2 moves the per-iteration traffic onto the
 // v2 binary frame stream (batched DoneNext, one round trip per
-// iteration); -open-loop 5s runs for a fixed wall-clock window at
-// saturation and reports sustained decisions/s; -inproc bypasses
-// sockets entirely and drives the exported Server.Next/Done decision
-// path directly, isolating the governor+session cost from transport.
-// -meter sim (selfhost only) swaps the billed energy source for a
-// calibrated simulated meter — tenants' wire readings become physical
-// stimulus, sessions are debited only what the measurement service
-// attributes — and -meter-faults injects counter spikes to prove the
-// plausibility gate rejects them without billing a single corrupted
+// iteration). -meter sim (selfhost only) swaps the billed energy source
+// for a calibrated simulated meter — tenants' wire readings become
+// physical stimulus, sessions are debited only what the measurement
+// service attributes — and -meter-faults injects counter spikes to prove
+// the plausibility gate rejects them without billing a single corrupted
 // joule.
-//
-// Latency results are printed to stdout in `go test -bench` format so
-// cmd/benchjson can fold them into BENCH_experiments.json; the
-// human-readable summary goes to stderr.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strings"
-	"sync"
 	"time"
 
 	"jouleguard"
@@ -62,7 +55,6 @@ import (
 	"jouleguard/internal/guard"
 	"jouleguard/internal/load"
 	"jouleguard/internal/measure"
-	"jouleguard/internal/metrics"
 	"jouleguard/internal/qos"
 	"jouleguard/internal/server"
 	"jouleguard/internal/telemetry"
@@ -70,58 +62,69 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "", "address of an external daemon (empty = selfhost)")
-	tenants := flag.Int("tenants", 8, "concurrent tenants")
-	iters := flag.Int("iters", 200, "iterations per tenant")
-	apps := flag.String("apps", "x264", "comma-separated benchmarks, assigned round-robin")
-	platName := flag.String("platform", "Server", "platform model")
-	factor := flag.Float64("f", 2.0, "per-tenant energy-reduction factor (prices the absolute budget request)")
-	weighted := flag.Bool("weighted", false, "request weighted shares instead of factor-priced absolute budgets")
-	budget := flag.Float64("budget", 0, "selfhost: global budget in joules (0 = auto-size to fit the tenants)")
-	restartAt := flag.Int("restart-at", 0, "selfhost: drain+snapshot+restart the daemon once this many iterations completed across tenants (0 = never)")
-	clusterMode := flag.Bool("cluster", false, "run an in-process fleet (coordinator + -nodes member daemons) and register tenants through the coordinator")
-	nodes := flag.Int("nodes", 3, "cluster: member daemons in the fleet")
-	killAt := flag.Int("kill-at", 0, "cluster: kill one node once this many iterations completed fleet-wide (0 = never)")
-	killCoordAt := flag.Int("kill-coordinator-at", 0, "cluster: kill the primary coordinator and promote a standby once this many iterations completed fleet-wide (0 = never)")
-	traceEvery := flag.Int("trace-every", 0, "mint a distributed-trace context every N governed rounds per tenant (0 = client default 1/256; negative disables)")
-	obsChk := flag.Bool("obs-check", false, "cluster: continuously audit joule provenance during the run and assert a cross-node trace join after it")
-	check := flag.Float64("check", 0, "fail unless every tenant's spend <= this fraction of its grant (e.g. 1.05; 0 = report only)")
-	tier := flag.String("tier", "", "QoS tier honest tenants claim at registration (guaranteed | standard | best-effort; empty = standard)")
-	adversaries := flag.Int("adversaries", 0, "convert this many tenants into adversaries: each claims -adv-weight honest tenants' worth of the pool under the best-effort tier and hammers the daemon until the honest tenants finish; the run is judged by tenant isolation instead of completion")
-	advWeight := flag.Float64("adv-weight", 10, "claim multiple each adversary asks for (budget in factor mode, weight in weighted mode)")
-	qosEnabled := flag.Bool("qos", false, "selfhost: enable the local QoS ladder (graduated enforcement + overload shedding); implied by -adversaries")
-	qosShedAt := flag.Float64("qos-shed-at", 0, "selfhost: pool-pressure threshold above which overload shedding engages (0 = default 0.97)")
-	expectShed := flag.Bool("expect-shed", false, "fail unless at least one adversary session was shed (requires -adversaries)")
-	seed := flag.Int64("seed", 1, "base seed; tenant i runs with seed+i")
-	v2 := flag.Bool("v2", false, "speak the v2 binary frame stream with the batched DoneNext loop (default: v1 JSON/HTTP)")
-	openLoop := flag.Duration("open-loop", 0, "run for this wall-clock window instead of to workload completion, measuring sustained decisions/s (sizes -iters up automatically)")
-	inproc := flag.Bool("inproc", false, "drive Server.Next/Done directly in-process (no sockets): the decision path alone")
-	meterMode := flag.String("meter", "client", "selfhost energy source: client (tenants' wire-reported readings are debited) or sim (a calibrated simulated meter measures; client reports become physical stimulus)")
-	meterFaults := flag.Bool("meter-faults", false, "with -meter sim: inject seeded counter faults into the meter and assert the plausibility gate rejects them")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
-	flag.Parse()
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fail(err)
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fail(err)
-		}
-		defer pprof.StopCPUProfile()
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fail(err)
-			}
-			defer f.Close()
-			runtime.GC()
-			_ = pprof.WriteHeapProfile(f)
-		}()
+}
+
+// run parses args, drives one load run and returns the first check that
+// failed. Progress and the correctness summary go to stderr; stdout is
+// left empty, so a caller piping loadgen gets no timing numbers to
+// mistake for measurements.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "", "address of an external daemon (empty = selfhost)")
+	tenants := fs.Int("tenants", 8, "concurrent tenants")
+	iters := fs.Int("iters", 200, "iterations per tenant")
+	apps := fs.String("apps", "x264", "comma-separated benchmarks, assigned round-robin")
+	platName := fs.String("platform", "Server", "platform model")
+	factor := fs.Float64("f", 2.0, "per-tenant energy-reduction factor (prices the absolute budget request)")
+	weighted := fs.Bool("weighted", false, "request weighted shares instead of factor-priced absolute budgets")
+	budget := fs.Float64("budget", 0, "selfhost: global budget in joules (0 = auto-size to fit the tenants)")
+	restartAt := fs.Int("restart-at", 0, "selfhost: drain+snapshot+restart the daemon once this many iterations completed across tenants (0 = never)")
+	clusterMode := fs.Bool("cluster", false, "run an in-process fleet (coordinator + -nodes member daemons) and register tenants through the coordinator")
+	nodes := fs.Int("nodes", 3, "cluster: member daemons in the fleet")
+	killAt := fs.Int("kill-at", 0, "cluster: kill one node once this many iterations completed fleet-wide (0 = never)")
+	killCoordAt := fs.Int("kill-coordinator-at", 0, "cluster: kill the primary coordinator and promote a standby once this many iterations completed fleet-wide (0 = never)")
+	traceEvery := fs.Int("trace-every", 0, "mint a distributed-trace context every N governed rounds per tenant (0 = client default 1/256; negative disables)")
+	obsChk := fs.Bool("obs-check", false, "cluster: continuously audit joule provenance during the run and assert a cross-node trace join after it")
+	check := fs.Float64("check", 0, "fail unless every tenant's spend <= this fraction of its grant (e.g. 1.05; 0 = report only)")
+	tier := fs.String("tier", "", "QoS tier honest tenants claim at registration (guaranteed | standard | best-effort; empty = standard)")
+	adversaries := fs.Int("adversaries", 0, "convert this many tenants into adversaries: each claims -adv-weight honest tenants' worth of the pool under the best-effort tier and hammers the daemon until the honest tenants finish; the run is judged by tenant isolation instead of completion")
+	advWeight := fs.Float64("adv-weight", 10, "claim multiple each adversary asks for (budget in factor mode, weight in weighted mode)")
+	qosEnabled := fs.Bool("qos", false, "selfhost: enable the local QoS ladder (graduated enforcement + overload shedding); implied by -adversaries")
+	qosShedAt := fs.Float64("qos-shed-at", 0, "selfhost: pool-pressure threshold above which overload shedding engages (0 = default 0.97)")
+	expectShed := fs.Bool("expect-shed", false, "fail unless at least one adversary session was shed (requires -adversaries)")
+	seed := fs.Int64("seed", 1, "base seed; tenant i runs with seed+i")
+	v2 := fs.Bool("v2", false, "speak the v2 binary frame stream with the batched DoneNext loop (default: v1 JSON/HTTP)")
+	meterMode := fs.String("meter", "client", "selfhost energy source: client (tenants' wire-reported readings are debited) or sim (a calibrated simulated meter measures; client reports become physical stimulus)")
+	meterFaults := fs.Bool("meter-faults", false, "with -meter sim: inject seeded counter faults into the meter and assert the plausibility gate rejects them")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	if *expectShed && *adversaries == 0 {
+		return errors.New("loadgen: -expect-shed requires -adversaries")
+	}
+	if *obsChk && !*clusterMode {
+		return errors.New("loadgen: -obs-check requires -cluster (the trace join and provenance audit span a fleet)")
+	}
+	switch *meterMode {
+	case "", "client":
+		if *meterFaults {
+			return errors.New("loadgen: -meter-faults requires -meter sim")
+		}
+	case "sim":
+		if *addr != "" || *clusterMode {
+			return errors.New("loadgen: -meter sim runs only against the selfhosted daemon (no -addr or -cluster)")
+		}
+	default:
+		return fmt.Errorf("loadgen: unknown -meter mode %q (want client or sim; rapl needs jouleguardd on real hardware)", *meterMode)
 	}
 
 	tracer := telemetry.NewSpanBuffer(0)
@@ -133,20 +136,11 @@ func main() {
 		Platform:        *platName,
 		Seed:            *seed,
 		WireV2:          *v2,
-		Duration:        *openLoop,
 		Tier:            *tier,
 		Adversaries:     *adversaries,
 		AdversaryWeight: *advWeight,
 		TraceEvery:      *traceEvery,
 		Tracer:          tracer,
-	}
-	if *expectShed && *adversaries == 0 {
-		fail(fmt.Errorf("loadgen: -expect-shed requires -adversaries"))
-	}
-	if *openLoop > 0 && *iters <= 200 {
-		// Throughput mode must not end by workload completion: give every
-		// tenant more iterations than the window can possibly consume.
-		cfg.Iterations = 1 << 20
 	}
 	if *weighted {
 		cfg.Weight = 1
@@ -154,42 +148,28 @@ func main() {
 		cfg.Factor = *factor
 	}
 
-	switch *meterMode {
-	case "", "client":
-		if *meterFaults {
-			fail(fmt.Errorf("loadgen: -meter-faults requires -meter sim"))
-		}
-	case "sim":
-		if *addr != "" || *clusterMode || *inproc {
-			fail(fmt.Errorf("loadgen: -meter sim runs only against the selfhosted daemon (no -addr, -cluster or -inproc)"))
-		}
-	default:
-		fail(fmt.Errorf("loadgen: unknown -meter mode %q (want client or sim; rapl needs jouleguardd on real hardware)", *meterMode))
-	}
-
-	if *inproc {
-		runInproc(cfg, *budget, *check)
-		return
-	}
-
 	var sh *selfhost
 	var sc *selfcluster
-	prefix := "Serve"
-	if *clusterMode {
-		prefix = "Cluster"
+	switch {
+	case *clusterMode:
 		fleetJ := *budget
 		if fleetJ <= 0 {
 			// Double the single-daemon sizing: failover permanently escrows
 			// the dead node's unspent lease (it never rejoins to reconcile),
 			// and the reassigned sessions are funded a second time from the
 			// coordinator's reserve.
-			fleetJ = autoBudget(cfg) * 2
+			j, err := autoBudget(cfg)
+			if err != nil {
+				return err
+			}
+			fleetJ = j * 2
 		}
 		var err error
-		sc, err = startSelfcluster(fleetJ, *nodes, *killCoordAt > 0)
+		sc, err = startSelfcluster(fleetJ, *nodes, *killCoordAt > 0, stderr)
 		if err != nil {
-			fail(err)
+			return err
 		}
+		defer sc.stop()
 		cfg.CoordinatorURL = sc.baseURL()
 		// Failover-aware retries: exhaust fast enough that the client asks
 		// the coordinator for the new owner within the smoke-test window.
@@ -202,20 +182,21 @@ func main() {
 			cfg.CoordinatorURLs = []string{sc.standbyURL()}
 			cfg.Kills = append(cfg.Kills, load.Kill{At: *killCoordAt, Do: sc.killCoordinator})
 		}
-		fmt.Fprintf(os.Stderr, "selfclustered fleet: coordinator on %s, %d nodes, fleet budget %.0f J\n",
+		fmt.Fprintf(stderr, "selfclustered fleet: coordinator on %s, %d nodes, fleet budget %.0f J\n",
 			cfg.CoordinatorURL, *nodes, fleetJ)
-	} else if *obsChk {
-		fail(fmt.Errorf("loadgen: -obs-check requires -cluster (the trace join and provenance audit span a fleet)"))
-	} else if *addr == "" {
+	case *addr == "":
 		globalJ := *budget
 		if globalJ <= 0 {
-			globalJ = autoBudget(cfg)
+			var err error
+			if globalJ, err = autoBudget(cfg); err != nil {
+				return err
+			}
 		}
 		var mo *meterOpts
 		if *meterMode == "sim" {
 			tb, err := jouleguard.NewTestbed(cfg.Apps[0], cfg.Platform)
 			if err != nil {
-				fail(err)
+				return err
 			}
 			// Spikes tens of default-iterations tall: they land above the
 			// gate's absolute power ceiling at any governed operating
@@ -228,35 +209,24 @@ func main() {
 				inject: *meterFaults,
 				seed:   *seed,
 			}
-			prefix = "Meter"
 		}
 		qcfg := qos.Config{Enabled: *qosEnabled || *adversaries > 0, ShedPressure: *qosShedAt}
 		var err error
-		sh, err = startSelfhost(globalJ, mo, qcfg)
+		sh, err = startSelfhost(globalJ, mo, qcfg, stderr)
 		if err != nil {
-			fail(err)
+			return err
 		}
+		defer sh.stop()
 		cfg.BaseURL = sh.baseURL()
 		if *restartAt > 0 {
 			go sh.restartWhen(*restartAt)
 		}
-		fmt.Fprintf(os.Stderr, "selfhosted daemon on %s, global budget %.0f J\n", cfg.BaseURL, globalJ)
-	} else {
+		fmt.Fprintf(stderr, "selfhosted daemon on %s, global budget %.0f J\n", cfg.BaseURL, globalJ)
+	default:
 		cfg.BaseURL = *addr
 		if !strings.HasPrefix(cfg.BaseURL, "http") {
 			cfg.BaseURL = "http://" + cfg.BaseURL
 		}
-	}
-
-	if *adversaries > 0 {
-		// Adversarial runs measure enforcement, not the steady-state hot
-		// path; their latency snapshots must not overwrite the baselines.
-		prefix = "Qos"
-	}
-	if *v2 {
-		// Distinct snapshot names: the v2 hot path must not overwrite the
-		// v1 JSON baseline (and vice versa) in BENCH_experiments.json.
-		prefix += "V2"
 	}
 
 	var obs *obsCheck
@@ -266,40 +236,35 @@ func main() {
 
 	rep, err := load.Run(context.Background(), cfg)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Fprintln(os.Stderr, rep.Summary())
+	fmt.Fprintln(stderr, rep.Summary())
 	for _, tr := range rep.Tenants {
 		if tr.Err != nil {
-			fmt.Fprintf(os.Stderr, "tenant %s: %v\n", tr.Tenant, tr.Err)
+			fmt.Fprintf(stderr, "tenant %s: %v\n", tr.Tenant, tr.Err)
 		}
 	}
 	if sh != nil {
 		if sh.rig != nil {
 			if err := sh.rig.report(); err != nil {
-				fail(err)
+				return err
 			}
 		}
 		if err := sh.verifyBroker(rep); err != nil {
-			fail(err)
+			return err
 		}
-		sh.stop()
 	}
 	if sc != nil {
 		if err := sc.verify(rep, *killAt, *killCoordAt); err != nil {
-			fail(err)
+			return err
 		}
 		if obs != nil {
 			// Before sc.stop(): the trace join may need one more heartbeat
 			// to carry the final trace refs to the coordinator.
 			if err := obs.verify(rep); err != nil {
-				fail(err)
+				return err
 			}
 		}
-		sc.stop()
-	}
-	for _, line := range rep.BenchLines(prefix) {
-		fmt.Println(line)
 	}
 	if *adversaries > 0 {
 		regs := 0
@@ -308,220 +273,43 @@ func main() {
 				regs += tr.Registrations
 			}
 		}
-		fmt.Fprintf(os.Stderr, "enforcement: %d adversary registrations; denials throttled %d / suspended %d / shed %d\n",
-			regs, rep.Throttled, rep.Suspended, rep.Shed)
+		fmt.Fprintf(stderr, "enforcement: %d adversary registrations\n", regs)
 		if *expectShed && rep.Shed == 0 {
-			fail(fmt.Errorf("loadgen: -expect-shed: no adversary session was shed"))
+			return errors.New("loadgen: -expect-shed: no adversary session was shed")
 		}
 	}
-	if *check > 0 {
-		if *adversaries > 0 {
-			if err := rep.CheckIsolation(*check); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "isolation check passed: honest tenants within %.0f%% of grant, untouched by enforcement; adversaries denied\n", *check*100)
-		} else {
-			if err := rep.Check(*check); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "check passed: every tenant within %.0f%% of its grant\n", *check*100)
+	switch {
+	case *check > 0 && *adversaries > 0:
+		if err := rep.CheckIsolation(*check); err != nil {
+			return err
 		}
-	} else if rep.Errors > 0 {
-		fail(fmt.Errorf("loadgen: %d tenants reported errors", rep.Errors))
-	}
-}
-
-// runInproc drives the exported Server.Next/Done decision path directly
-// — no sockets, no codecs — with one goroutine per tenant against one
-// Server. It measures what the daemon itself costs per decision
-// (session shard lookup + session lock + governor), the floor under
-// every wire number.
-func runInproc(cfg load.Config, budget, check float64) {
-	if len(cfg.Apps) == 0 {
-		cfg.Apps = []string{"x264"}
-	}
-	if cfg.Platform == "" {
-		cfg.Platform = "Server"
-	}
-	globalJ := budget
-	if globalJ <= 0 {
-		globalJ = autoBudget(cfg)
-	}
-	srv, err := server.New(server.Config{GlobalBudgetJ: globalJ, SweepInterval: -1})
-	if err != nil {
-		fail(err)
-	}
-	fmt.Fprintf(os.Stderr, "in-process daemon, global budget %.0f J\n", globalJ)
-
-	type result struct {
-		res              load.TenantResult
-		nextLat, doneLat []time.Duration
-	}
-	results := make([]result, cfg.Tenants)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for ti := 0; ti < cfg.Tenants; ti++ {
-		wg.Add(1)
-		go func(ti int) {
-			defer wg.Done()
-			r := &results[ti]
-			app := cfg.Apps[ti%len(cfg.Apps)]
-			r.res = load.TenantResult{Tenant: fmt.Sprintf("tenant-%02d", ti), App: app}
-			tb, err := jouleguard.NewTestbed(app, cfg.Platform)
-			if err != nil {
-				r.res.Err = err
-				return
-			}
-			reg := wire.RegisterRequest{
-				Tenant: r.res.Tenant, App: app, Platform: cfg.Platform,
-				Iterations: cfg.Iterations, Weight: cfg.Weight, Seed: cfg.Seed + int64(ti),
-			}
-			if cfg.Factor > 0 {
-				if reg.BudgetJ, err = tb.Budget(cfg.Factor, cfg.Iterations); err != nil {
-					r.res.Err = err
-					return
-				}
-			}
-			resp, err := srv.Register(reg)
-			if err != nil {
-				r.res.Err = err
-				return
-			}
-			r.res.SessionID = resp.SessionID
-			r.res.GrantJ = resp.GrantJ
-			var deadline time.Time
-			var stepMemo map[int][2]float64
-			if cfg.Duration > 0 {
-				deadline = time.Now().Add(cfg.Duration)
-				stepMemo = map[int][2]float64{} // see load.tenant.step
-			}
-			clockS, energyJ, accSum := 0.0, 0.0, 0.0
-			for i := 0; i < cfg.Iterations; i++ {
-				t0 := time.Now()
-				nresp, err := srv.Next(resp.SessionID, wire.NextRequest{NowS: clockS})
-				r.nextLat = append(r.nextLat, time.Since(t0))
-				if err != nil {
-					r.res.Err = fmt.Errorf("iteration %d Next: %w", i, err)
-					return
-				}
-				var work, acc float64
-				if v, ok := stepMemo[nresp.AppConfig]; ok {
-					work, acc = v[0], v[1]
-				} else {
-					work, acc = tb.App.Step(nresp.AppConfig, i)
-					if stepMemo != nil {
-						stepMemo[nresp.AppConfig] = [2]float64{work, acc}
-					}
-				}
-				dur := work / tb.Platform.Rate(nresp.SysConfig, tb.Profile)
-				clockS += dur
-				energyJ += tb.Platform.Power(nresp.SysConfig, tb.Profile) * dur
-				accSum += acc
-				t0 = time.Now()
-				dresp, err := srv.Done(resp.SessionID, wire.DoneRequest{NowS: clockS, EnergyJ: energyJ, Accuracy: acc})
-				r.doneLat = append(r.doneLat, time.Since(t0))
-				if err != nil {
-					r.res.Err = fmt.Errorf("iteration %d Done: %w", i, err)
-					return
-				}
-				r.res.Iterations++
-				r.res.SpentJ = dresp.SpentJ
-				if dresp.Complete || (!deadline.IsZero() && time.Now().After(deadline)) {
-					break
-				}
-			}
-			r.res.MeteredJ = energyJ
-			if r.res.Iterations > 0 {
-				r.res.MeanAcc = accSum / float64(r.res.Iterations)
-			}
-			if _, err := srv.Close(resp.SessionID); err != nil {
-				r.res.Err = fmt.Errorf("close: %w", err)
-			}
-		}(ti)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	rep := &load.Report{Elapsed: elapsed}
-	var nextAll, doneAll, iterAll []time.Duration
-	for _, r := range results {
-		rep.Tenants = append(rep.Tenants, r.res)
-		rep.Iterations += r.res.Iterations
-		rep.TotalSpentJ += r.res.SpentJ
-		rep.TotalGrantJ += r.res.GrantJ
-		if og := r.res.OverGrant(); og > rep.MaxOverGrant {
-			rep.MaxOverGrant = og
+		fmt.Fprintf(stderr, "isolation check passed: honest tenants within %.0f%% of grant, untouched by enforcement; adversaries denied\n", *check*100)
+	case *check > 0:
+		if err := rep.Check(*check); err != nil {
+			return err
 		}
-		if r.res.Err != nil {
-			rep.Errors++
-			fmt.Fprintf(os.Stderr, "tenant %s: %v\n", r.res.Tenant, r.res.Err)
-		}
-		nextAll = append(nextAll, r.nextLat...)
-		doneAll = append(doneAll, r.doneLat...)
-		for i := range r.nextLat {
-			if i < len(r.doneLat) {
-				iterAll = append(iterAll, r.nextLat[i]+r.doneLat[i])
-			}
-		}
+		fmt.Fprintf(stderr, "check passed: every tenant within %.0f%% of its grant\n", *check*100)
+	case rep.Errors > 0:
+		return fmt.Errorf("loadgen: %d tenants reported errors", rep.Errors)
 	}
-	rep.NextP50, rep.NextP99 = inprocQuantiles(nextAll)
-	rep.DoneP50, rep.DoneP99 = inprocQuantiles(doneAll)
-	rep.IterP50, rep.IterP99 = inprocQuantiles(iterAll)
-	rep.Decisions = len(nextAll) + len(doneAll)
-	if elapsed > 0 {
-		rep.Throughput = float64(rep.Iterations) / elapsed.Seconds()
-		rep.DecisionsPerSec = float64(rep.Decisions) / elapsed.Seconds()
-	}
-	fmt.Fprintln(os.Stderr, rep.Summary())
-	info := srv.Broker().Info()
-	if info.CommittedJ+info.ConsumedJ > info.GlobalJ*1.0001 {
-		fail(fmt.Errorf("loadgen: broker over-committed: committed %.1f + consumed %.1f > global %.1f",
-			info.CommittedJ, info.ConsumedJ, info.GlobalJ))
-	}
-	for _, line := range rep.BenchLines("Inproc") {
-		fmt.Println(line)
-	}
-	if check > 0 {
-		if err := rep.Check(check); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "check passed: every tenant within %.0f%% of its grant\n", check*100)
-	} else if rep.Errors > 0 {
-		fail(fmt.Errorf("loadgen: %d tenants reported errors", rep.Errors))
-	}
-}
-
-// inprocQuantiles mirrors load's estimator (metrics.Summarize) for the
-// in-process mode's latency samples.
-func inprocQuantiles(d []time.Duration) (p50, p99 time.Duration) {
-	if len(d) == 0 {
-		return 0, 0
-	}
-	xs := make([]float64, len(d))
-	for i, v := range d {
-		xs[i] = float64(v)
-	}
-	s := metrics.Summarize(xs)
-	return time.Duration(s.P50), time.Duration(s.P99)
+	return nil
 }
 
 // autoBudget sizes the selfhosted global pool so every factor-priced
 // tenant fits under the broker's reserve, with a small admission margin.
-func autoBudget(cfg load.Config) float64 {
+func autoBudget(cfg load.Config) (float64, error) {
 	total := 0.0
 	for i := 0; i < cfg.Tenants; i++ {
 		app := cfg.Apps[i%len(cfg.Apps)]
 		tb, err := jouleguard.NewTestbed(app, cfg.Platform)
 		if err != nil {
-			fail(err)
+			return 0, err
 		}
 		per := tb.DefaultEnergy * float64(cfg.Iterations)
 		if cfg.Factor > 0 {
-			b, err := tb.Budget(cfg.Factor, cfg.Iterations)
-			if err != nil {
-				fail(err)
+			if per, err = tb.Budget(cfg.Factor, cfg.Iterations); err != nil {
+				return 0, err
 			}
-			per = b
 		}
 		total += per
 	}
@@ -538,7 +326,7 @@ func autoBudget(cfg load.Config) float64 {
 		}
 		total *= (honest + adv*w) / float64(cfg.Tenants)
 	}
-	return total * server.DefaultReserve * 1.02
+	return total * server.DefaultReserve * 1.02, nil
 }
 
 // selfhost runs the daemon in-process over a real localhost listener and
@@ -553,9 +341,10 @@ type selfhost struct {
 	srv     *server.Server
 	httpSrv *http.Server
 	rig     *meterRig
+	log     io.Writer
 }
 
-func startSelfhost(globalJ float64, mo *meterOpts, qcfg qos.Config) (*selfhost, error) {
+func startSelfhost(globalJ float64, mo *meterOpts, qcfg qos.Config, log io.Writer) (*selfhost, error) {
 	dir, err := os.MkdirTemp("", "loadgen-snap-")
 	if err != nil {
 		return nil, err
@@ -565,9 +354,10 @@ func startSelfhost(globalJ float64, mo *meterOpts, qcfg qos.Config) (*selfhost, 
 		tel:     telemetry.New(4096),
 		globalJ: globalJ,
 		qos:     qcfg,
+		log:     log,
 	}
 	if mo != nil {
-		sh.rig, err = buildMeterRig(sh.tel, mo)
+		sh.rig, err = buildMeterRig(sh.tel, mo, log)
 		if err != nil {
 			return nil, err
 		}
@@ -627,11 +417,11 @@ func (sh *selfhost) restartWhen(n int) {
 			break
 		}
 	}
-	fmt.Fprintf(os.Stderr, "restart trigger: fleet passed %d iterations; draining + snapshotting daemon\n", n)
+	fmt.Fprintf(sh.log, "restart trigger: fleet passed %d iterations; draining + snapshotting daemon\n", n)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := sh.srv.Shutdown(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "drain: %v\n", err)
+		fmt.Fprintf(sh.log, "drain: %v\n", err)
 	}
 	if err := sh.srv.SnapshotFile(sh.snap); err != nil {
 		fail(fmt.Errorf("snapshot: %w", err))
@@ -659,7 +449,7 @@ func (sh *selfhost) restartWhen(n int) {
 		fail(fmt.Errorf("rebinding %s: %w", sh.addr, err))
 	}
 	sh.serve(ln)
-	fmt.Fprintf(os.Stderr, "daemon restarted on %s from %s\n", sh.addr, sh.snap)
+	fmt.Fprintf(sh.log, "daemon restarted on %s from %s\n", sh.addr, sh.snap)
 }
 
 // fleetIterations sums completed iterations across live sessions via the
@@ -693,7 +483,7 @@ func (sh *selfhost) verifyBroker(rep *load.Report) error {
 	if rep.TotalSpentJ > info.GlobalJ {
 		return fmt.Errorf("loadgen: fleet spent %.1f J of a %.1f J global budget", rep.TotalSpentJ, info.GlobalJ)
 	}
-	fmt.Fprintf(os.Stderr, "broker ledger: global %.0f J, consumed %.1f J, committed %.1f J, %d admitted / %d rejected\n",
+	fmt.Fprintf(sh.log, "broker ledger: global %.0f J, consumed %.1f J, committed %.1f J, %d admitted / %d rejected\n",
 		info.GlobalJ, info.ConsumedJ, info.CommittedJ, info.Admitted, info.Rejected)
 	return nil
 }
@@ -728,9 +518,10 @@ type meterRig struct {
 	sim    *measure.SimMeter
 	svc    *measure.Service
 	inject bool
+	log    io.Writer
 }
 
-func buildMeterRig(tel *telemetry.Telemetry, mo *meterOpts) (*meterRig, error) {
+func buildMeterRig(tel *telemetry.Telemetry, mo *meterOpts, log io.Writer) (*meterRig, error) {
 	vc := measure.NewVirtualClock()
 	sim := measure.NewSimMeter(measure.SimConfig{IdleW: 2, Seed: mo.seed, Now: vc.Now})
 	cal, err := measure.Calibrate(sim, measure.CalibrationConfig{Sleep: vc.Sleep, Now: vc.Now})
@@ -748,7 +539,7 @@ func buildMeterRig(tel *telemetry.Telemetry, mo *meterOpts) (*meterRig, error) {
 		Now:      vc.Now,
 		Tel:      tel,
 	})
-	r := &meterRig{vc: vc, sim: sim, svc: svc, inject: mo.inject}
+	r := &meterRig{vc: vc, sim: sim, svc: svc, inject: mo.inject, log: log}
 	if mo.inject {
 		// Rare additive counter spikes, installed after calibration so the
 		// baseline is honest. Each one must surface as a gate rejection
@@ -756,7 +547,7 @@ func buildMeterRig(tel *telemetry.Telemetry, mo *meterOpts) (*meterRig, error) {
 		// estimate — never at the corrupted reading.
 		sim.SetFault(faults.NewSpike(0.03, 1, mo.spikeJ, mo.seed+99))
 	}
-	fmt.Fprintf(os.Stderr, "meter: %s backend, idle baseline %.2f W (calibration cv %.4f over %d trials)\n",
+	fmt.Fprintf(log, "meter: %s backend, idle baseline %.2f W (calibration cv %.4f over %d trials)\n",
 		cal.Backend, cal.BaselineW, cal.CV, cal.Trials)
 	return r, nil
 }
@@ -769,16 +560,15 @@ func (r *meterRig) stimulus(joules, durS float64) {
 	r.vc.Advance(durS)
 }
 
-// report prints the measurement service's post-run status, asserts the
-// run's meter invariants, and emits the calibration and gate tallies as
-// bench lines for BENCH_experiments.json.
+// report prints the measurement service's post-run status and asserts
+// the run's meter invariants.
 func (r *meterRig) report() error {
 	st := r.svc.Status()
 	quarantined := ""
 	if st.Quarantined {
 		quarantined = " QUARANTINED"
 	}
-	fmt.Fprintf(os.Stderr, "meter ledger: %d samples, gate %d accepted / %d rejected, %d quarantines%s, "+
+	fmt.Fprintf(r.log, "meter ledger: %d samples, gate %d accepted / %d rejected, %d quarantines%s, "+
 		"trusted %.1f J (raw %.1f J), attributed %.1f J, unattributed %.1f J\n",
 		st.Samples, st.GateAccepted, st.GateRejected, st.Quarantines, quarantined,
 		st.TrustedJ, st.RawJ, st.AttributedJ, st.UnattributedJ)
@@ -791,10 +581,6 @@ func (r *meterRig) report() error {
 	if !r.inject && st.Quarantined {
 		return fmt.Errorf("loadgen: meter quarantined with no faults injected")
 	}
-	fmt.Printf("BenchmarkMeterCalibrationTrials\t1\t%d trials\n", st.CalibrationTrials)
-	fmt.Printf("BenchmarkMeterCalibrationBaseline\t1\t%.1f mW\n", st.BaselineW*1000)
-	fmt.Printf("BenchmarkMeterCalibrationCV\t1\t%.1f ppm\n", st.CalibrationCV*1e6)
-	fmt.Printf("BenchmarkMeterGateRejected\t%d\t%d rejects\n", st.Samples, st.GateRejected)
 	return nil
 }
 
@@ -814,6 +600,7 @@ type selfcluster struct {
 	sbAddr    string
 	coordDead bool
 	nodes     []*clusterNode
+	log       io.Writer
 }
 
 type clusterNode struct {
@@ -824,7 +611,7 @@ type clusterNode struct {
 	killed  bool
 }
 
-func startSelfcluster(fleetJ float64, n int, withStandby bool) (*selfcluster, error) {
+func startSelfcluster(fleetJ float64, n int, withStandby bool, log io.Writer) (*selfcluster, error) {
 	if n <= 0 {
 		n = 3
 	}
@@ -835,7 +622,7 @@ func startSelfcluster(fleetJ float64, n int, withStandby bool) (*selfcluster, er
 	if err != nil {
 		return nil, err
 	}
-	sc := &selfcluster{fleetJ: fleetJ, coord: coord}
+	sc := &selfcluster{fleetJ: fleetJ, coord: coord, log: log}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
@@ -944,11 +731,11 @@ func (sc *selfcluster) killCoordinator() {
 		return
 	}
 	sc.coordDead = true
-	fmt.Fprintf(os.Stderr, "kill trigger: stopping primary coordinator on %s\n", sc.addr)
+	fmt.Fprintf(sc.log, "kill trigger: stopping primary coordinator on %s\n", sc.addr)
 	_ = sc.httpSrv.Close()
 	sc.coord.Stop()
 	fence := sc.standby.Promote()
-	fmt.Fprintf(os.Stderr, "standby on %s promoted at fence %d\n", sc.sbAddr, fence)
+	fmt.Fprintf(sc.log, "standby on %s promoted at fence %d\n", sc.sbAddr, fence)
 }
 
 // killOne kills the live node owning the most active sessions: stop its
@@ -975,7 +762,7 @@ func (sc *selfcluster) killOne() {
 		return
 	}
 	victim.killed = true
-	fmt.Fprintf(os.Stderr, "kill trigger: stopping %s (owns %d active sessions)\n",
+	fmt.Fprintf(sc.log, "kill trigger: stopping %s (owns %d active sessions)\n",
 		victim.name, owned[victim.name])
 	victim.member.Stop()
 	_ = victim.httpSrv.Close()
@@ -1007,7 +794,7 @@ func (sc *selfcluster) verify(rep *load.Report, killAt, killCoordAt int) error {
 			return fmt.Errorf("loadgen: node failover ran after a coordinator kill but no client rotated coordinators")
 		}
 	}
-	fmt.Fprintf(os.Stderr, "fleet ledger: budget %.0f J, consumed %.1f J, unspent leases %.1f J, "+
+	fmt.Fprintf(sc.log, "fleet ledger: budget %.0f J, consumed %.1f J, unspent leases %.1f J, "+
 		"%d nodes live, %d reassignments, fence %d; clients rode through %d failovers (%d coordinator rotations)\n",
 		info.FleetJ, info.ConsumedJ, info.LeasedUnspentJ, info.NodesLive, info.Reassignments, info.Fence,
 		rep.Failovers, rep.CoordFailovers)
@@ -1033,6 +820,8 @@ func (sc *selfcluster) stop() {
 	}
 }
 
+// fail ends the process from a goroutine with no caller to return an
+// error to: the mid-run restart, whose failure leaves no daemon to drive.
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, err)
 	os.Exit(1)

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"os"
 	"sync"
 	"time"
 
@@ -152,7 +151,7 @@ func (o *obsCheck) verify(rep *load.Report) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "obs-check passed: %d session + %d fleet provenance samples, worst drift %.2g J; "+
+	fmt.Fprintf(o.sc.log, "obs-check passed: %d session + %d fleet provenance samples, worst drift %.2g J; "+
 		"trace %s joined across client/member/coordinator (%d hops)\n",
 		sessN, fleetN, maxDrift, telemetry.FormatID(trace), hops)
 	return nil

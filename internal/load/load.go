@@ -1,8 +1,8 @@
 // Package load drives a jouleguardd daemon with N simulated tenants and
-// measures what the service layer adds on top of the governor: decision
-// latency (wall-clock Next and Done round trips), aggregate throughput,
-// and the fidelity of the budget guarantee across concurrently governed
-// sessions.
+// checks the fidelity of the budget guarantee across concurrently
+// governed sessions: every tenant's spend against its grant, the errors,
+// failovers and enforcement denials they met. It takes no timings;
+// perfbench measures the same paths without the race detector.
 //
 // Each tenant is a faithful stand-in for a governed application: it runs
 // its workload on a virtual clock and energy meter derived from the same
@@ -25,7 +25,6 @@ import (
 
 	"jouleguard"
 	"jouleguard/internal/client"
-	"jouleguard/internal/metrics"
 	"jouleguard/internal/telemetry"
 	"jouleguard/internal/wire"
 )
@@ -66,15 +65,8 @@ type Config struct {
 
 	// WireV2 moves the per-iteration traffic onto the v2 binary frame
 	// stream with the batched DoneNext loop (settle + next decision in
-	// one round trip). False pins tenants to v1 JSON/HTTP, keeping the
-	// baseline measurement honest.
+	// one round trip). False pins tenants to v1 JSON/HTTP.
 	WireV2 bool
-	// Duration switches the run open-loop: tenants issue iterations as
-	// fast as the daemon answers until the wall-clock window closes (or
-	// their workload completes), measuring sustained decisions/s rather
-	// than time-to-complete-N. Set Iterations high enough that no tenant
-	// finishes early.
-	Duration time.Duration
 
 	// CoordinatorURL switches the run to cluster mode: tenants register
 	// through the fleet coordinator (each under a stable session key) and
@@ -85,8 +77,8 @@ type Config struct {
 	// the primary coordinator is unreachable or deposed (standbys).
 	CoordinatorURLs []string
 	// KillAt arranges a mid-run node failure: once the fleet has
-	// completed KillAt iterations in total, Kill is invoked (once). The
-	// run then measures how tenants ride through the failover.
+	// completed KillAt iterations in total, Kill is invoked (once), and
+	// the tenants must ride through the failover.
 	KillAt int
 	Kill   func()
 	// Kills schedules additional mid-run failure injections (e.g. killing
@@ -189,32 +181,17 @@ func (t TenantResult) OverGrant() float64 {
 // Report aggregates a load run.
 type Report struct {
 	Tenants    []TenantResult
-	Elapsed    time.Duration
 	Iterations int // total completed across tenants
-
-	NextP50, NextP99 time.Duration // Next round-trip latency
-	DoneP50, DoneP99 time.Duration // Done round-trip latency
-	IterP50, IterP99 time.Duration // whole-iteration wire latency
-	Throughput       float64       // governed iterations per wall-clock second
-
-	// Decisions counts the individual decisions the daemon served (each
-	// iteration is one Next plus one Done, however they were framed);
-	// DecisionsPerSec is their sustained rate over the run.
-	Decisions       int
-	DecisionsPerSec float64
 
 	TotalSpentJ  float64
 	TotalGrantJ  float64
 	MaxOverGrant float64 // worst per-tenant spend/grant ratio
 	Errors       int
 
-	// Cluster-mode extras: total node migrations clients rode through,
-	// the coordinator rotations absorbed inside them, and the latency of
-	// the calls that absorbed a migration (placement lookup + re-register
-	// + catch-up replay, end to end as the application felt it).
-	Failovers        int
-	CoordFailovers   int
-	FailP50, FailP99 time.Duration
+	// Cluster-mode extras: total node migrations clients rode through
+	// and the coordinator rotations absorbed inside them.
+	Failovers      int
+	CoordFailovers int
 
 	// Adversarial-mode extras: the enforcement denials adversaries drew
 	// across the run, by wire code.
@@ -273,56 +250,13 @@ func (r *Report) CheckIsolation(slack float64) error {
 	return nil
 }
 
-// BenchLines renders the latency results in `go test -bench` format so
-// cmd/benchjson can fold them into BENCH_experiments.json. prefix names
-// the scenario ("Serve" for one daemon, "Cluster" for a fleet run).
-func (r *Report) BenchLines(prefix string) []string {
-	if prefix == "" {
-		prefix = "Serve"
-	}
-	lines := []string{
-		fmt.Sprintf("Benchmark%sNextP50\t%d\t%d ns/op", prefix, r.Iterations, r.NextP50.Nanoseconds()),
-		fmt.Sprintf("Benchmark%sNextP99\t%d\t%d ns/op", prefix, r.Iterations, r.NextP99.Nanoseconds()),
-		fmt.Sprintf("Benchmark%sDoneP50\t%d\t%d ns/op", prefix, r.Iterations, r.DoneP50.Nanoseconds()),
-		fmt.Sprintf("Benchmark%sDoneP99\t%d\t%d ns/op", prefix, r.Iterations, r.DoneP99.Nanoseconds()),
-	}
-	if r.IterP50 > 0 {
-		lines = append(lines,
-			fmt.Sprintf("Benchmark%sIterP50\t%d\t%d ns/op", prefix, r.Iterations, r.IterP50.Nanoseconds()),
-			fmt.Sprintf("Benchmark%sIterP99\t%d\t%d ns/op", prefix, r.Iterations, r.IterP99.Nanoseconds()))
-	}
-	if r.Throughput > 0 {
-		lines = append(lines, fmt.Sprintf("Benchmark%sIteration\t%d\t%d ns/op",
-			prefix, r.Iterations, int64(float64(time.Second)/r.Throughput)))
-	}
-	if r.DecisionsPerSec > 0 {
-		lines = append(lines, fmt.Sprintf("Benchmark%sThroughput\t%d\t%.0f decisions/s",
-			prefix, r.Decisions, r.DecisionsPerSec))
-	}
-	if r.Failovers > 0 {
-		lines = append(lines,
-			fmt.Sprintf("Benchmark%sFailoverP50\t%d\t%d ns/op", prefix, r.Failovers, r.FailP50.Nanoseconds()),
-			fmt.Sprintf("Benchmark%sFailoverP99\t%d\t%d ns/op", prefix, r.Failovers, r.FailP99.Nanoseconds()))
-	}
-	if n := r.Throttled + r.Suspended + r.Shed; n > 0 {
-		lines = append(lines,
-			fmt.Sprintf("Benchmark%sDenials\t%d\t%d denials", prefix, n, n),
-			fmt.Sprintf("Benchmark%sThrottled\t%d\t%d denials", prefix, n, r.Throttled),
-			fmt.Sprintf("Benchmark%sSuspended\t%d\t%d denials", prefix, n, r.Suspended),
-			fmt.Sprintf("Benchmark%sShed\t%d\t%d denials", prefix, n, r.Shed))
-	}
-	return lines
-}
-
 // Summary is a one-paragraph human rendering of the report.
 func (r *Report) Summary() string {
 	return fmt.Sprintf(
-		"%d tenants, %d iterations in %v (%.0f iter/s, %.0f decisions/s); "+
-			"Next p50=%v p99=%v, Done p50=%v p99=%v, iter p50=%v p99=%v; "+
-			"spent %.1f J of %.1f J granted, worst tenant at %.1f%% of grant, %d errors",
-		len(r.Tenants), r.Iterations, r.Elapsed.Round(time.Millisecond), r.Throughput, r.DecisionsPerSec,
-		r.NextP50, r.NextP99, r.DoneP50, r.DoneP99, r.IterP50, r.IterP99,
-		r.TotalSpentJ, r.TotalGrantJ, r.MaxOverGrant*100, r.Errors)
+		"%d tenants, %d iterations; spent %.1f J of %.1f J granted, worst tenant at %.1f%% of grant; "+
+			"%d errors, %d failovers (%d coordinator rotations); denials throttled %d / suspended %d / shed %d",
+		len(r.Tenants), r.Iterations, r.TotalSpentJ, r.TotalGrantJ, r.MaxOverGrant*100,
+		r.Errors, r.Failovers, r.CoordFailovers, r.Throttled, r.Suspended, r.Shed)
 }
 
 // tenant is the virtual application: clock and meter advance by the
@@ -337,35 +271,8 @@ type tenant struct {
 	clockS  float64 // virtual seconds
 	energyJ float64 // virtual cumulative joules
 
-	nextLat   []time.Duration
-	doneLat   []time.Duration
-	iterLat   []time.Duration // whole-iteration wire latency
-	failLat   []time.Duration // calls that absorbed a node migration
-	wireCalls int             // decisions served (Next + Done, however framed)
-	done      *atomic.Int64   // fleet-wide completed-iteration counter
-	stepMemo  map[int][2]float64
-	res       TenantResult
-}
-
-// step returns the app model's (work, accuracy) for a configuration.
-// Open-loop runs (Duration > 0) memoize per configuration: the frame
-// models cost hundreds of microseconds per simulated iteration, which
-// at saturation would measure the simulator, not the daemon.
-// Closed-loop runs keep the full per-iteration model so accuracy and
-// energy trajectories stay faithful.
-func (t *tenant) step(appCfg, i int) (work, acc float64) {
-	if t.cfg.Duration <= 0 {
-		return t.tb.App.Step(appCfg, i)
-	}
-	if v, ok := t.stepMemo[appCfg]; ok {
-		return v[0], v[1]
-	}
-	if t.stepMemo == nil {
-		t.stepMemo = map[int][2]float64{}
-	}
-	work, acc = t.tb.App.Step(appCfg, i)
-	t.stepMemo[appCfg] = [2]float64{work, acc}
-	return work, acc
+	done *atomic.Int64 // fleet-wide completed-iteration counter
+	res  TenantResult
 }
 
 // run executes the tenant's whole workload against the daemon.
@@ -408,25 +315,12 @@ func (t *tenant) run(ctx context.Context) {
 	t.res.SessionID = sess.ID()
 	t.res.GrantJ = sess.GrantJ()
 	accSum := 0.0
-	var deadline time.Time
-	if t.cfg.Duration > 0 {
-		deadline = time.Now().Add(t.cfg.Duration)
-	}
 	armed := false
 	var appCfg, sysCfg int
-	var nextLat time.Duration
 	for i := 0; i < t.cfg.Iterations; i++ {
 		if !armed {
-			fo := sess.Failovers()
-			start := time.Now()
 			var err error
 			appCfg, sysCfg, err = sess.Next(ctx)
-			nextLat = time.Since(start)
-			t.nextLat = append(t.nextLat, nextLat)
-			t.wireCalls++
-			if sess.Failovers() > fo {
-				t.failLat = append(t.failLat, nextLat)
-			}
 			if err != nil {
 				if client.IsCode(err, wire.CodeSessionComplete) {
 					// A daemon restart can settle a retried iteration twice,
@@ -441,27 +335,17 @@ func (t *tenant) run(ctx context.Context) {
 			armed = true
 		}
 		// "Execute" the iteration on the modeled machine.
-		work, acc := t.step(appCfg, i)
+		work, acc := t.tb.App.Step(appCfg, i)
 		rate := t.tb.Platform.Rate(sysCfg, t.tb.Profile)
 		dur := work / rate
 		t.clockS += dur
 		t.energyJ += t.tb.Platform.Power(sysCfg, t.tb.Profile) * dur
 		accSum += acc
 
-		last := i == t.cfg.Iterations-1 ||
-			(!deadline.IsZero() && time.Now().After(deadline))
-		if t.cfg.WireV2 && !last {
+		if t.cfg.WireV2 && i < t.cfg.Iterations-1 {
 			// Steady state: settle this iteration and fetch the next
 			// decision in one batched round trip.
-			fo := sess.Failovers()
-			start := time.Now()
 			nextApp, nextSys, err := sess.DoneNext(ctx, acc)
-			lat := time.Since(start)
-			t.iterLat = append(t.iterLat, lat)
-			t.wireCalls += 2
-			if sess.Failovers() > fo {
-				t.failLat = append(t.failLat, lat)
-			}
 			if err != nil {
 				if client.IsCode(err, wire.CodeSessionComplete) {
 					// The Done half settled before the workload completed.
@@ -481,21 +365,7 @@ func (t *tenant) run(ctx context.Context) {
 			}
 			continue
 		}
-		fo := sess.Failovers()
-		start := time.Now()
-		err := sess.Done(ctx, acc)
-		lat := time.Since(start)
-		t.doneLat = append(t.doneLat, lat)
-		if !t.cfg.WireV2 {
-			// One v1 iteration's wire cost is its own Next plus this Done;
-			// in batched mode the DoneNext round trip above is the sample.
-			t.iterLat = append(t.iterLat, nextLat+lat)
-		}
-		t.wireCalls++
-		if sess.Failovers() > fo {
-			t.failLat = append(t.failLat, lat)
-		}
-		if err != nil {
+		if err := sess.Done(ctx, acc); err != nil {
 			t.res.Err = fmt.Errorf("iteration %d Done: %w", i, err)
 			break
 		}
@@ -503,9 +373,6 @@ func (t *tenant) run(ctx context.Context) {
 		t.res.Iterations++
 		if t.done != nil {
 			t.done.Add(1)
-		}
-		if last {
-			break
 		}
 	}
 	t.res.SpentJ = sess.LastStatus().SpentJ
@@ -551,8 +418,7 @@ func (t *tenant) noteDenial(err error) bool {
 // through every enforcement denial until stop closes. Denials are
 // tallied, and every other error simply ends the current session — an
 // adversary's job is to be refused, so nothing it experiences fails
-// the run (the honest tenants are the run's verdict). Its latencies
-// are never sampled: hostile traffic must not pollute the quantiles.
+// the run (the honest tenants are the run's verdict).
 func (t *tenant) runAdversary(ctx context.Context, stop <-chan struct{}) {
 	t.res = TenantResult{Tenant: t.name, App: t.app, Adversary: true}
 	for {
@@ -619,18 +485,15 @@ func (t *tenant) runAdversary(ctx context.Context, stop <-chan struct{}) {
 			default:
 			}
 			appCfg, sysCfg, err := sess.Next(ctx)
-			t.wireCalls++
 			if err != nil {
 				t.noteDenial(err)
 				break
 			}
-			work, acc := t.step(appCfg, i)
+			work, acc := t.tb.App.Step(appCfg, i)
 			dur := work / t.tb.Platform.Rate(sysCfg, t.tb.Profile)
 			t.clockS += dur
 			t.energyJ += t.tb.Platform.Power(sysCfg, t.tb.Profile) * dur
-			err = sess.Done(ctx, acc)
-			t.wireCalls++
-			if err != nil {
+			if err := sess.Done(ctx, acc); err != nil {
 				t.noteDenial(err)
 				break
 			}
@@ -696,7 +559,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			}
 		}()
 	}
-	start := time.Now()
 	// Adversaries run until the honest tenants finish: the property
 	// under test is that honest workloads complete while hostile load
 	// is live the whole time, so the adversaries must never finish
@@ -721,19 +583,15 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	wg.Wait()
 	close(advStop)
 	advWG.Wait()
-	elapsed := time.Since(start)
 
-	rep := &Report{Elapsed: elapsed}
-	var nextAll, doneAll, iterAll, failAll []time.Duration
+	rep := &Report{}
 	for _, t := range tenants {
 		rep.Tenants = append(rep.Tenants, t.res)
 		rep.Iterations += t.res.Iterations
 		rep.TotalSpentJ += t.res.SpentJ
-		rep.Decisions += t.wireCalls
 		if t.res.Adversary {
 			// Hostile traffic is reported (denials, spend) but never
-			// judged: no error count, no grant-fidelity sample, no
-			// latency samples.
+			// judged: no error count, no grant-fidelity sample.
 			rep.Throttled += t.res.Throttled
 			rep.Suspended += t.res.Suspended
 			rep.Shed += t.res.Shed
@@ -746,32 +604,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		}
 		rep.Failovers += t.res.Failovers
 		rep.CoordFailovers += t.res.CoordFailovers
-		nextAll = append(nextAll, t.nextLat...)
-		doneAll = append(doneAll, t.doneLat...)
-		iterAll = append(iterAll, t.iterLat...)
-		failAll = append(failAll, t.failLat...)
-	}
-	rep.NextP50, rep.NextP99 = quantiles(nextAll)
-	rep.DoneP50, rep.DoneP99 = quantiles(doneAll)
-	rep.IterP50, rep.IterP99 = quantiles(iterAll)
-	rep.FailP50, rep.FailP99 = quantiles(failAll)
-	if elapsed > 0 {
-		rep.Throughput = float64(rep.Iterations) / elapsed.Seconds()
-		rep.DecisionsPerSec = float64(rep.Decisions) / elapsed.Seconds()
 	}
 	return rep, nil
-}
-
-// quantiles folds a latency sample through the shared metrics summary
-// (interpolating percentiles, same estimator the experiment tables use).
-func quantiles(d []time.Duration) (p50, p99 time.Duration) {
-	if len(d) == 0 {
-		return 0, 0
-	}
-	xs := make([]float64, len(d))
-	for i, v := range d {
-		xs[i] = float64(v)
-	}
-	sum := metrics.Summarize(xs)
-	return time.Duration(sum.P50), time.Duration(sum.P99)
 }

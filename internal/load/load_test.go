@@ -11,9 +11,8 @@ import (
 )
 
 // TestLoadRun drives a small fleet against an in-process daemon and pins
-// the report's accounting: every tenant finishes, latency quantiles are
-// populated, no tenant overruns its grant beyond the governor's slack,
-// and the bench lines parse as benchmark output.
+// the report's accounting: every tenant finishes and no tenant overruns
+// its grant beyond the governor's slack.
 func TestLoadRun(t *testing.T) {
 	srv, err := server.New(server.Config{GlobalBudgetJ: 100000, SweepInterval: -1})
 	if err != nil {
@@ -50,23 +49,11 @@ func TestLoadRun(t *testing.T) {
 		}
 		t.FailNow()
 	}
-	if rep.NextP50 <= 0 || rep.NextP99 < rep.NextP50 || rep.DoneP50 <= 0 {
-		t.Fatalf("latency quantiles %v/%v/%v", rep.NextP50, rep.NextP99, rep.DoneP50)
-	}
 	if err := rep.Check(1.05); err != nil {
 		t.Fatal(err)
 	}
 	if rep.TotalSpentJ > 100000 {
 		t.Fatalf("fleet overran the global pool: %.1f", rep.TotalSpentJ)
-	}
-	lines := rep.BenchLines("")
-	if len(lines) < 4 {
-		t.Fatalf("bench lines: %v", lines)
-	}
-	for _, l := range lines {
-		if l == "" || l[0:9] != "Benchmark" {
-			t.Fatalf("malformed bench line %q", l)
-		}
 	}
 	if rep.Summary() == "" {
 		t.Fatal("empty summary")
